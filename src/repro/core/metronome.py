@@ -304,6 +304,12 @@ class MetronomeGroup:
             )
             for sq in self.shared
         ]
+        # loop-invariant actions, built once: the scheduler only reads
+        # a Compute's work_ns
+        trylock = [Compute(config.TRYLOCK_NS + p[0]) for p in penalties]
+        contended = Compute(config.TRYLOCK_CONTENDED_NS - config.TRYLOCK_NS)
+        empty_poll = Compute(config.RX_POLL_EMPTY_NS)
+        unlock = Compute(config.UNLOCK_NS)
         while self.iterations is None or stats.iterations < self.iterations:
             stats.iterations += 1
             lock_taken = False
@@ -316,13 +322,11 @@ class MetronomeGroup:
                 order = range(nq)
             for qi in order:
                 sq = self.shared[qi]
-                t_extra, b_extra, p_extra = penalties[qi]
-                yield Compute(config.TRYLOCK_NS + t_extra)
+                _, b_extra, p_extra = penalties[qi]
+                yield trylock[qi]
                 if not sq.lock.try_acquire(kt):
                     stats.busy_tries += 1
-                    yield Compute(
-                        config.TRYLOCK_CONTENDED_NS - config.TRYLOCK_NS
-                    )
+                    yield contended
                     continue
                 lock_taken = True
                 backlog = sq.queue.occupancy()
@@ -334,7 +338,7 @@ class MetronomeGroup:
                     n, tagged = sq.queue.rx_burst(self.burst)
                     if n == 0:
                         # the final poll that finds the queue drained
-                        yield Compute(config.RX_POLL_EMPTY_NS)
+                        yield empty_poll
                         break
                     stats.packets += n
                     drained += n
@@ -359,7 +363,7 @@ class MetronomeGroup:
                 self.tuner.observe(record)
                 if tracer.enabled:
                     tracer.drain_end(kt, sq.queue.index, drained)
-                yield Compute(config.UNLOCK_NS)
+                yield unlock
                 sq.lock.release(kt)
 
             if lock_taken:

@@ -373,7 +373,19 @@ class CfsScheduler:
     def _on_complete(self, cs: _CoreSched) -> None:
         cs.completion = None
         thread = cs.core.current
-        self._account(cs)
+        # charge the finished chunk: _account inlined, minus its
+        # wall-to-work conversion (the chunk is done, remaining_work is 0)
+        now = self.sim.now
+        raw = now - cs.acct_mark
+        dt = raw - cs.irq_skip
+        cs.acct_mark = now
+        if dt <= 0:
+            cs.irq_skip -= raw
+        else:
+            cs.irq_skip = 0
+            thread.cputime_ns += dt
+            thread.vruntime += dt * NICE_0_WEIGHT // thread.weight
+            self._update_min_vruntime(cs)
         thread.remaining_work = 0
         self._advance(cs, thread)
 
@@ -394,13 +406,25 @@ class CfsScheduler:
             thread.action = action
 
             if isinstance(action, Compute):
-                if action.work_ns == 0:
+                work = action.work_ns
+                if work == 0:
                     continue
-                thread.remaining_work = action.work_ns
                 if thread.cold_penalty == 1:
-                    thread.remaining_work += default_cold_penalty(action.work_ns)
+                    work += default_cold_penalty(work)
                     thread.cold_penalty = 0
-                self._program_completion(cs)
+                thread.remaining_work = work
+                # _program_completion inlined for the hottest path; at
+                # base speed (no SMT sibling, governor at base) work
+                # and wall time are the same ns
+                if cs.completion is not None:
+                    cs.completion.cancel()
+                if core.smt_sibling is not None or core.freq != core.base_freq:
+                    work = core.work_to_wall(work)
+                cs.completion = self.sim.call_after(
+                    work + cs.irq_skip, self._on_complete, cs
+                )
+                if cs.rq_len > 0:
+                    self._ensure_tick(cs)
                 return
             if isinstance(action, BusySpin):
                 thread.cold_penalty = 0
@@ -409,7 +433,7 @@ class CfsScheduler:
                 self._program_completion(cs)
                 return
             if isinstance(action, Suspend):
-                if getattr(thread, "pending_wake", False):
+                if thread.pending_wake:
                     thread.pending_wake = False
                     continue  # wakeup raced ahead: don't sleep
                 self._deschedule(cs, thread, ThreadState.SLEEPING)
@@ -489,6 +513,12 @@ class CfsScheduler:
         self._update_min_vruntime(cs)
 
     def _update_min_vruntime(self, cs: _CoreSched) -> None:
+        if cs.rq_len == 0:
+            # no queued thread: the running one alone bounds the floor
+            current = cs.core.current
+            if current is not None and current.vruntime > cs.min_vruntime:
+                cs.min_vruntime = current.vruntime
+            return
         candidates = []
         if cs.core.current is not None:
             candidates.append(cs.core.current.vruntime)

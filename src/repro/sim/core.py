@@ -412,19 +412,29 @@ class Simulator:
         self._stopped = False
         try:
             while not self._stopped:
-                # fast path: next staged entry is live and nothing in the
-                # side heaps can come before it
+                # fast path: the earlier of the staged run's head and the
+                # in-drain side heap's head is live and sorts before the
+                # far heap.  In-drain arrivals ahead of the run's tail
+                # (short Compute completions) make the side-heap head
+                # the common case on busy cores.
                 run = self._run
                 pos = self._run_pos
-                if pos < len(run) and not self._extra:
+                if pos < len(run):
                     entry = run[pos]
+                    extra = self._extra
+                    in_run = not extra or entry < extra[0]
+                    if not in_run:
+                        entry = extra[0]
                     fn = entry[3]
                     far = self._far
                     if fn is not None and (not far or entry < far[0]):
                         when = entry[0]
                         if until is not None and when > until:
                             break
-                        self._run_pos = pos + 1
+                        if in_run:
+                            self._run_pos = pos + 1
+                        else:
+                            heappop(extra)
                         if self.monitor is not None:
                             self.monitor.on_execute(self.now, when)
                         entry[3] = _FIRED

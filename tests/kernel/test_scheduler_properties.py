@@ -44,10 +44,14 @@ def test_property_cfs_shares_follow_weights(nices):
     chunks=st.lists(st.integers(min_value=1_000, max_value=2_000_000),
                     min_size=1, max_size=20),
     nice=st.integers(min_value=-5, max_value=5),
+    freq_pct=st.one_of(st.just(100), st.integers(min_value=10, max_value=99)),
 )
-def test_property_work_conservation_single_thread(chunks, nice):
-    """A lone thread's cputime equals exactly the work it submitted."""
+def test_property_work_conservation_single_thread(chunks, nice, freq_pct):
+    """A lone thread's cputime equals exactly the wall time its submitted
+    work takes at the core's speed (the work itself at base frequency)."""
     m = make_machine(num_cores=1, os_noise=False)
+    core = m.cores[0]
+    core.freq = core.base_freq * freq_pct // 100
 
     def body(kt):
         for c in chunks:
@@ -56,7 +60,9 @@ def test_property_work_conservation_single_thread(chunks, nice):
 
     t = m.spawn(body, name="w", core=0, nice=nice)
     m.run()
-    assert t.cputime_ns == sum(chunks)
+    assert t.cputime_ns == sum(core.work_to_wall(c) for c in chunks)
+    if freq_pct == 100:
+        assert t.cputime_ns == sum(chunks)
 
 
 @settings(max_examples=10, deadline=None)
