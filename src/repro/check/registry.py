@@ -221,7 +221,7 @@ class CheckRegistry:
         """``thread`` was just popped from ``cs``'s runqueue.
 
         ``cs`` is duck-typed per-core scheduler state: ``runqueue``
-        entries are ``[vruntime, seq, thread-or-None]`` and
+        entries are ``[vruntime, seq, thread]`` and
         ``min_vruntime`` is the core's monotone floor.
         """
         if not self._sched:
@@ -239,7 +239,7 @@ class CheckRegistry:
         spread_v = self._spread_wall_ns * NICE_0_WEIGHT // weight
         for entry in cs.runqueue:
             other = entry[2]
-            if other is None or other.weight != weight:
+            if other.weight != weight:
                 continue
             if entry[0] < v:
                 self.violation(

@@ -25,16 +25,14 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro import config
-from repro.core.metronome import MetronomeGroup
-from repro.core.tuning import AdaptiveTuner, TunerBase
+from repro.core.tuning import TunerBase
 from repro.dpdk.app import PacketApp
-from repro.harness.experiment import MetronomeRunResult, default_app
-from repro.kernel.machine import Machine
+from repro.harness.experiment import MetronomeRunResult, _deployment, _metronome
 from repro.nic.flows import FlowSet
 from repro.nic.rss import RssSteering
-from repro.nic.topology import NicDevice, PortSpec
+from repro.nic.topology import PortSpec
 from repro.nic.traffic import CbrProcess, gbps_to_pps
-from repro.sim.units import MS, US
+from repro.sim.units import US
 
 
 def queue_node_map(num_queues: int, numa_nodes: int) -> List[int]:
@@ -76,76 +74,17 @@ def run_metronome_scaled(
         cfg = config.SimConfig(
             seed=seed, num_cores=num_threads, numa_nodes=nn,
         )
-    machine = Machine(cfg)
-    if checks:
-        machine.enable_checks()
-    total_pps = gbps_to_pps(gbps, frame_len)
-    base, rem = divmod(total_pps, num_queues)
-    processes = [
-        CbrProcess(base + (1 if i < rem else 0)) for i in range(num_queues)
-    ]
-    flows = FlowSet()
-    device = NicDevice(
-        machine.sim,
-        [
-            PortSpec(
-                processes,
-                node=0,
-                queue_nodes=queue_node_map(num_queues, machine.numa_nodes),
-                flows=flows,
-                rss=RssSteering(num_queues),
-            )
-        ],
-        ring_size=cfg.rx_ring_size,
-        sample_every=cfg.latency_sample_every,
+    base, rem = divmod(gbps_to_pps(gbps, frame_len), num_queues)
+    port = PortSpec(
+        [CbrProcess(base + (1 if i < rem else 0)) for i in range(num_queues)],
+        queue_nodes=queue_node_map(num_queues, cfg.numa_nodes),
+        flows=FlowSet(),
+        rss=RssSteering(num_queues),
     )
-    tuner = tuner or AdaptiveTuner(
-        vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns, m=num_threads,
-        alpha=cfg.alpha, initial_rho=0.5,
-    )
-    group = MetronomeGroup(
-        machine,
-        device.queues,
-        app or default_app(),
-        tuner=tuner,
-        num_threads=num_threads,
-        cores=list(range(num_threads)),
-    )
-    group.start()
-
-    def exec_busy() -> int:
-        return sum(
-            machine.cores[c].total_busy_ns() - machine.cores[c].exit_stall_ns
-            for c in group.cores
-        )
-
-    busy0 = exec_busy()
-    e0 = machine.energy_joules()
-    machine.run(until=duration_ms * MS)
-    busy1 = exec_busy()
-    offered = device.total_arrived()  # syncs every queue
-    if machine.checks is not None:
-        machine.checks.quiesce(consumed=group.total_packets)
-    cs = group.cycle_stats()
-    duration = duration_ms * MS
-    return MetronomeRunResult(
-        duration_ns=duration,
-        offered=offered,
-        delivered=group.total_packets,
-        drops=device.total_drops(),
-        cpu_utilization=(busy1 - busy0) / duration,
-        energy_j=machine.energy_joules() - e0,
-        latency=group.latency,
-        mean_vacation_us=cs.mean_vacation_ns() / US if cs.count else 0.0,
-        mean_busy_us=cs.mean_busy_ns() / US if cs.count else 0.0,
-        mean_n_vacation=cs.mean_n_vacation() if cs.count else 0.0,
-        cycles=cs.count,
-        busy_tries=group.busy_tries,
-        wake_rounds=group.total_iterations,
-        rho=group.tuner.rho,
-        ts_us=group.tuner.ts_ns() / US,
-        group=group,
-        machine=machine,
+    machine, device = _deployment(cfg, [port], checks=checks)
+    return _metronome(
+        machine, device, duration_ms, app, tuner, num_threads,
+        list(range(num_threads)),
     )
 
 

@@ -21,7 +21,6 @@ import pytest
 
 import repro
 from repro import config
-from repro.faults.plan import FaultPlan
 from repro.harness.experiment import run_dpdk, run_metronome, run_xdp
 from repro.sim.snapshot import MachineState, SnapshotMismatch, capture, restore
 from repro.sim.units import MS
@@ -157,6 +156,18 @@ CHECKPOINTED_RUNNERS = [
             800_000, duration_ms=4, cfg=config.SimConfig(seed=11),
             num_threads=2, cores=[0, 1], **kw),
         id="metronome"),
+    # the 2 ms checkpoint lands in the measured window (after 1 ms of
+    # warmup) and inside the warmup (3 ms of it) respectively
+    pytest.param(
+        lambda **kw: run_metronome(
+            800_000, duration_ms=4, cfg=config.SimConfig(seed=11),
+            num_threads=2, cores=[0, 1], warmup_ms=1, **kw),
+        id="metronome-warmup-1ms"),
+    pytest.param(
+        lambda **kw: run_metronome(
+            800_000, duration_ms=4, cfg=config.SimConfig(seed=11),
+            num_threads=2, cores=[0, 1], warmup_ms=3, **kw),
+        id="metronome-warmup-3ms"),
     pytest.param(
         lambda **kw: run_dpdk(
             800_000, duration_ms=4, cfg=config.SimConfig(seed=11), **kw),
