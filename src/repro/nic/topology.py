@@ -21,7 +21,6 @@ events, no RNG draws, so building a topology never perturbs a run.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -30,7 +29,7 @@ from repro.nic.device import NicPort
 from repro.nic.flows import FlowSet
 from repro.nic.rss import MICROSOFT_KEY, RssSteering
 from repro.nic.rxqueue import RxQueue
-from repro.nic.traffic import ArrivalProcess
+from repro.nic.traffic import ArrivalProcess, ScheduleProcess
 from repro.sim.core import Simulator
 from repro.sim.units import SEC
 
@@ -110,15 +109,15 @@ class NicDevice:
         return self.total_drops() / arrived
 
 
-class ReplayShard(ArrivalProcess):
+class ReplayShard(ScheduleProcess):
     """One RSS queue's slice of a replayed trace.
 
     Holds the subsequence of the master schedule steered to this queue
     but keeps the *master's* loop cycle, so on every loop iteration the
     shards replay their slices in mutual alignment — the union of all
     shards reproduces the master schedule exactly (tested in
-    ``tests/scale``).  Counting logic mirrors
-    :class:`~repro.traffic.replay.TraceReplayProcess`.
+    ``tests/scale``).  The cursor is the same :class:`ScheduleProcess`
+    as :class:`~repro.traffic.replay.TraceReplayProcess`.
     """
 
     def __init__(
@@ -131,52 +130,8 @@ class ReplayShard(ArrivalProcess):
         start: int = 0,
         label: str = "shard",
     ):
-        self._times = times
-        self._flows = flows
-        self._lens = lens
-        self._n = len(times)
-        self._cycle = max(1, cycle)
-        self.loop = loop
-        self.start = start
-        self.last_t = start
-        self.total = 0
+        super().__init__(times, flows, lens, cycle, loop, start)
         self.label = label
-
-    # -- counting (same arithmetic as TraceReplayProcess) --------------- #
-
-    def _count_at(self, t: int) -> int:
-        rel = t - self.start
-        if rel <= 0 or self._n == 0:
-            return 0
-        if not self.loop:
-            return bisect_right(self._times, rel)
-        cycles, rem = divmod(rel, self._cycle)
-        return cycles * self._n + bisect_right(self._times, rem)
-
-    def advance(self, t1: int) -> int:
-        if t1 < self.last_t:
-            raise ValueError(f"advance moving backwards: {t1} < {self.last_t}")
-        n = self._count_at(t1) - self.total
-        self.total += n
-        self.last_t = t1
-        return n
-
-    def next_arrival_after(self, t: int) -> Optional[int]:
-        if self._n == 0:
-            return None
-        rel = t - self.start
-        if rel < 0:
-            return self.start + self._times[0]
-        if not self.loop:
-            idx = bisect_right(self._times, rel)
-            if idx >= self._n:
-                return None
-            return self.start + self._times[idx]
-        cycles, rem = divmod(rel, self._cycle)
-        idx = bisect_right(self._times, rem)
-        if idx < self._n:
-            return self.start + cycles * self._cycle + self._times[idx]
-        return self.start + (cycles + 1) * self._cycle + self._times[0]
 
     def rate_at(self, t: int) -> float:
         """Nominal mean rate of the shard (reporting/pacing only)."""
@@ -188,40 +143,6 @@ class ReplayShard(ArrivalProcess):
         if 0 <= rel <= self._times[-1]:
             return self._n * SEC / max(1, self._times[-1])
         return 0.0
-
-    def time_for_count(self, t: int, k: int) -> Optional[int]:
-        """Exact: the arrival time of the k-th packet after ``t``."""
-        if k <= 0:
-            return t
-        if self._n == 0:
-            return None
-        idx = self._count_at(t) + k - 1
-        if not self.loop:
-            if idx >= self._n:
-                return None
-            return self.start + self._times[idx]
-        cycles, j = divmod(idx, self._n)
-        return self.start + cycles * self._cycle + self._times[j]
-
-    # -- flow plumbing --------------------------------------------------- #
-
-    def flow_of(self, seq: int) -> Optional[int]:
-        if self._n == 0:
-            return None
-        if self.loop:
-            return self._flows[seq % self._n]
-        if seq >= self._n:
-            return None
-        return self._flows[seq]
-
-    def len_of(self, seq: int) -> Optional[int]:
-        if self._n == 0:
-            return None
-        if self.loop:
-            return self._lens[seq % self._n]
-        if seq >= self._n:
-            return None
-        return self._lens[seq]
 
     # -- checkpointing ---------------------------------------------------- #
 
@@ -257,8 +178,8 @@ def rss_shard(
 
     Only schedule-backed processes can be sharded — the process must
     expose ``schedule_times``/``schedule_flows``/``schedule_lens`` and
-    ``cycle_ns`` (:class:`~repro.traffic.replay.TraceReplayProcess`
-    does).  Synthetic processes (CBR/Poisson) have no per-packet flow
+    ``cycle_ns`` (every :class:`~repro.nic.traffic.ScheduleProcess`,
+    such as :class:`~repro.traffic.replay.TraceReplayProcess`, does).  Synthetic processes (CBR/Poisson) have no per-packet flow
     schedule; split their *rate* across queues instead.
     """
     if num_queues < 1:

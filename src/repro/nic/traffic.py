@@ -16,11 +16,14 @@ Implementations:
 * :class:`PoissonProcess` — memoryless arrivals for model validation;
 * :class:`RampProfile` — piecewise-CBR, e.g. the 60 s up/down ramp of
   §5.3's rate-control-methods.lua experiment, or a step burst for the
-  XDP reactivity test.
+  XDP reactivity test;
+* :class:`ScheduleProcess` — a fixed per-packet schedule, the cursor
+  behind trace replay and its RSS shards.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,6 +116,135 @@ class ArrivalProcess:
         this so tagged packets carry the trace's own flow keys.
         """
         return None
+
+
+class ScheduleProcess(ArrivalProcess):
+    """A fixed per-packet arrival schedule replayed as a lazy counter.
+
+    ``times`` are non-decreasing offsets (>= 1) from ``start``, aligned
+    with per-arrival ``flows`` and ``lens``; under ``loop`` the schedule
+    repeats every ``cycle`` ns.  ``advance`` is a binary search,
+    ``next_arrival_after`` too, and ``time_for_count`` is exact index
+    arithmetic.  Subclasses supply ``rate_at`` and ``snapshot_state``.
+    """
+
+    def __init__(
+        self,
+        times: Sequence[int],
+        flows: Sequence[int],
+        lens: Sequence[int],
+        cycle: int,
+        loop: bool,
+        start: int = 0,
+    ):
+        self._times = times
+        self._flows = flows
+        self._lens = lens
+        self._n = len(times)
+        self._cycle = max(1, cycle)
+        self.loop = loop
+        self.start = start
+        self.last_t = start
+        self.total = 0
+
+    # -- counting --------------------------------------------------------- #
+
+    def _count_at(self, t: int) -> int:
+        rel = t - self.start
+        if rel <= 0 or self._n == 0:
+            return 0
+        if not self.loop:
+            return bisect_right(self._times, rel)
+        cycles, rem = divmod(rel, self._cycle)
+        return cycles * self._n + bisect_right(self._times, rem)
+
+    def advance(self, t1: int) -> int:
+        if t1 < self.last_t:
+            raise ValueError(f"advance moving backwards: {t1} < {self.last_t}")
+        n = self._count_at(t1) - self.total
+        self.total += n
+        self.last_t = t1
+        return n
+
+    def next_arrival_after(self, t: int) -> Optional[int]:
+        if self._n == 0:
+            return None
+        rel = t - self.start
+        if rel < 0:
+            return self.start + self._times[0]
+        if not self.loop:
+            idx = bisect_right(self._times, rel)
+            if idx >= self._n:
+                return None
+            return self.start + self._times[idx]
+        cycles, rem = divmod(rel, self._cycle)
+        idx = bisect_right(self._times, rem)
+        if idx < self._n:
+            return self.start + cycles * self._cycle + self._times[idx]
+        return self.start + (cycles + 1) * self._cycle + self._times[0]
+
+    def time_for_count(self, t: int, k: int) -> Optional[int]:
+        """Exact: the arrival time of the k-th packet after ``t``."""
+        if k <= 0:
+            return t
+        if self._n == 0:
+            return None
+        idx = self._count_at(t) + k - 1
+        if not self.loop:
+            if idx >= self._n:
+                return None
+            return self.start + self._times[idx]
+        cycles, j = divmod(idx, self._n)
+        return self.start + cycles * self._cycle + self._times[j]
+
+    # -- schedule access (read-only; RSS sharding) ------------------------ #
+
+    @property
+    def schedule_times(self) -> Sequence[int]:
+        """The arrival-offset schedule (relative to ``start``).
+
+        Consumers that partition the schedule across RSS queues
+        (:func:`repro.nic.topology.rss_shard`) read it; it is shared,
+        so it is never to be mutated.
+        """
+        return self._times
+
+    @property
+    def schedule_flows(self) -> Sequence[int]:
+        """Per-arrival flow ids aligned with :attr:`schedule_times`."""
+        return self._flows
+
+    @property
+    def schedule_lens(self) -> Sequence[int]:
+        """Per-arrival frame lengths aligned with :attr:`schedule_times`."""
+        return self._lens
+
+    @property
+    def cycle_ns(self) -> int:
+        """Length of one loop cycle in scaled nanoseconds."""
+        return self._cycle
+
+    # -- flow plumbing ---------------------------------------------------- #
+
+    def flow_of(self, seq: int) -> Optional[int]:
+        """The scheduled flow id of arrival ``seq`` (None past the end)."""
+        if self._n == 0:
+            return None
+        if self.loop:
+            return self._flows[seq % self._n]
+        if seq >= self._n:
+            return None
+        return self._flows[seq]
+
+    def len_of(self, seq: int) -> Optional[int]:
+        """The scheduled frame length of arrival ``seq``."""
+        if self._n == 0:
+            return None
+        if self.loop:
+            return self._lens[seq % self._n]
+        if seq >= self._n:
+            return None
+        return self._lens[seq]
 
 
 class CbrProcess(ArrivalProcess):

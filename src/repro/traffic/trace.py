@@ -10,13 +10,19 @@ record, optionally gzip-compressed (any path ending in ``.gz``).
 Design contract:
 
 * **versioned** — the header carries ``format``/``version``; loaders
-  reject anything they do not understand rather than guessing;
+  reject anything they do not understand rather than guessing, and
+  every malformed input (non-integer fields, bad phases, non-object
+  ``meta``, corrupt gzip, non-UTF-8 bytes) ends in :exc:`TraceError`;
 * **deterministic identity** — :meth:`Trace.sha256` hashes the
   canonical serialization, so generators can be audited as pure
   functions of (spec, seed) and caches can key on content;
 * **validated** — :meth:`Trace.validate` enforces monotonic arrival
   times, sane frame lengths, and ordered, non-overlapping phases, so
-  every consumer (replay, figures, CLI) can assume a well-formed trace.
+  every consumer (replay, figures, CLI) can assume a well-formed trace;
+* **immutable** — ``records`` and ``phases`` are tuples fixed at
+  construction, so what is derived from them (the validation verdict,
+  replay schedules) is computed once per trace and shared by every
+  consumer.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ import gzip
 import hashlib
 import io
 import json
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.units import SEC
 
@@ -37,6 +44,9 @@ TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
 #: largest acceptable frame (jumbo); guards against corrupt records
 MAX_FRAME_LEN = 9216
+#: largest arrival time, flow id or phase bound: the sim's signed 64-bit
+#: ns clock; guards float conversions (duration, replay gaps) on any input
+INT64_MAX = 2**63 - 1
 
 #: one packet record: (arrival offset ns, frame length, flow id)
 Record = Tuple[int, int, int]
@@ -44,6 +54,18 @@ Record = Tuple[int, int, int]
 
 class TraceError(ValueError):
     """A trace failed schema validation or could not be parsed."""
+
+
+def _is_int(value: Any) -> bool:
+    """An exact JSON integer: not a float, not a bool."""
+    return type(value) is int
+
+
+def _parse_json(text: str, what: str) -> Any:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, nesting
+        raise TraceError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -63,13 +85,26 @@ class Phase:
                 "end_ns": self.end_ns}
 
     @classmethod
-    def from_dict(cls, d: Dict) -> "Phase":
-        return cls(name=d["name"], start_ns=int(d["start_ns"]),
-                   end_ns=int(d["end_ns"]))
+    def from_dict(cls, d: Any) -> "Phase":
+        """Parse one header phase object; :exc:`TraceError` if malformed."""
+        if not isinstance(d, dict):
+            raise TraceError(f"phase {d!r} is not a JSON object")
+        name = d.get("name")
+        start, end = d.get("start_ns"), d.get("end_ns")
+        if not (isinstance(name, str) and _is_int(start) and _is_int(end)):
+            raise TraceError(f"phase {d!r} needs a string name and integer "
+                             "start_ns/end_ns")
+        return cls(name=name, start_ns=start, end_ns=end)
 
 
 class Trace:
-    """An ordered packet trace with named phases and JSON metadata."""
+    """An ordered packet trace with named phases and JSON metadata.
+
+    An immutable value: ``records`` and ``phases`` are read-only tuples,
+    so :meth:`validate` runs its checks once, and a replay schedule
+    derived from a trace stays valid for its lifetime
+    (:mod:`repro.traffic.replay`).
+    """
 
     def __init__(
         self,
@@ -77,11 +112,21 @@ class Trace:
         records: Sequence[Record] = (),
         meta: Optional[Dict] = None,
     ):
-        self.phases: List[Phase] = list(phases)
-        self.records: List[Record] = [
+        self._phases: Tuple[Phase, ...] = tuple(phases)
+        self._records: Tuple[Record, ...] = tuple(
             (int(t), int(length), int(flow)) for t, length, flow in records
-        ]
+        )
         self.meta: Dict = dict(meta or {})
+        self._valid = False
+
+    @property
+    def records(self) -> Tuple[Record, ...]:
+        """``(t_ns, len, flow)`` per packet, in arrival order."""
+        return self._records
+
+    @property
+    def phases(self) -> Tuple[Phase, ...]:
+        return self._phases
 
     # -- derived ---------------------------------------------------------- #
 
@@ -112,21 +157,29 @@ class Trace:
         Records exactly at a phase's ``end_ns`` belong to the next
         phase; the final phase's end is inclusive (it is the trace end).
         """
-        times = [r[0] for r in self.records]
+        # a 1-tuple sorts before every record with that arrival time, so
+        # bisecting the records themselves finds the first t >= bound
+        records = self.records
         out: List[Tuple[Phase, int, int]] = []
         for i, phase in enumerate(self.phases):
-            lo = bisect_left(times, phase.start_ns)
+            lo = bisect_left(records, (phase.start_ns,))
             if i == len(self.phases) - 1:
-                hi = len(times)
+                hi = len(records)
             else:
-                hi = bisect_left(times, phase.end_ns)
+                hi = bisect_left(records, (phase.end_ns,))
             out.append((phase, lo, hi))
         return out
 
     # -- validation ------------------------------------------------------- #
 
     def validate(self) -> None:
-        """Raise :exc:`TraceError` unless the trace is well-formed."""
+        """Raise :exc:`TraceError` unless the trace is well-formed.
+
+        Success is remembered (the trace cannot change); a failure is
+        not, so an invalid trace raises on every call.
+        """
+        if self._valid:
+            return
         prev_t = 0
         for i, (t, length, flow) in enumerate(self.records):
             if t < 0:
@@ -135,11 +188,17 @@ class Trace:
                 raise TraceError(
                     f"record {i}: arrival time {t} before previous {prev_t}"
                 )
+            if t > INT64_MAX:
+                raise TraceError(f"record {i}: arrival time {t} exceeds "
+                                 f"{INT64_MAX}")
             if not 1 <= length <= MAX_FRAME_LEN:
                 raise TraceError(f"record {i}: frame length {length} "
                                  f"outside [1, {MAX_FRAME_LEN}]")
             if flow < 0:
                 raise TraceError(f"record {i}: negative flow id {flow}")
+            if flow > INT64_MAX:
+                raise TraceError(f"record {i}: flow id {flow} exceeds "
+                                 f"{INT64_MAX}")
             prev_t = t
         prev_end = 0
         for i, phase in enumerate(self.phases):
@@ -150,6 +209,9 @@ class Trace:
                     f"phase {phase.name!r}: end {phase.end_ns} <= "
                     f"start {phase.start_ns}"
                 )
+            if phase.end_ns > INT64_MAX:
+                raise TraceError(f"phase {phase.name!r}: end {phase.end_ns} "
+                                 f"exceeds {INT64_MAX}")
             if phase.start_ns < prev_end:
                 raise TraceError(
                     f"phase {phase.name!r}: starts at {phase.start_ns}, "
@@ -162,6 +224,7 @@ class Trace:
                     f"last record at {self.records[-1][0]} lies past the "
                     f"final phase end {self.phases[-1].end_ns}"
                 )
+        self._valid = True
 
     # -- identity --------------------------------------------------------- #
 
@@ -196,17 +259,14 @@ class Trace:
         lines = text.splitlines()
         if not lines:
             raise TraceError("empty trace file")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"unparseable trace header: {exc}") from exc
+        header = _parse_json(lines[0], "unparseable trace header")
         if not isinstance(header, dict):
             raise TraceError("trace header is not a JSON object")
         fmt = header.get("format")
         if fmt != TRACE_FORMAT:
             raise TraceError(f"not a {TRACE_FORMAT} file (format={fmt!r})")
         version = header.get("version")
-        if version != TRACE_VERSION:
+        if not _is_int(version) or version != TRACE_VERSION:
             raise TraceError(
                 f"unsupported trace version {version!r} "
                 f"(this build reads version {TRACE_VERSION})"
@@ -215,22 +275,33 @@ class Trace:
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"line {lineno}: bad record: {exc}") from exc
+            rec = _parse_json(line, f"line {lineno}: bad record")
             if not (isinstance(rec, list) and len(rec) == 3):
                 raise TraceError(f"line {lineno}: record is not [t,len,flow]")
-            records.append((int(rec[0]), int(rec[1]), int(rec[2])))
+            t, length, flow = rec
+            if not (_is_int(t) and _is_int(length) and _is_int(flow)):
+                raise TraceError(
+                    f"line {lineno}: record {line.strip()} has a "
+                    "non-integer field"
+                )
+            records.append((t, length, flow))
         count = header.get("count")
-        if count is not None and count != len(records):
+        if count is not None and (not _is_int(count)
+                                  or count != len(records)):
             raise TraceError(
-                f"header count {count} != {len(records)} records (truncated?)"
+                f"header count {count!r} != {len(records)} records "
+                "(truncated?)"
             )
+        phases = header.get("phases", [])
+        if not isinstance(phases, list):
+            raise TraceError(f"header phases {phases!r} is not a list")
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TraceError(f"header meta {meta!r} is not a JSON object")
         trace = cls(
-            phases=[Phase.from_dict(p) for p in header.get("phases", [])],
+            phases=[Phase.from_dict(p) for p in phases],
             records=records,
-            meta=header.get("meta", {}),
+            meta=meta,
         )
         trace.validate()
         return trace
@@ -251,13 +322,20 @@ class Trace:
 
     @classmethod
     def load(cls, path: str) -> "Trace":
+        """Read and validate ``path``; a missing file raises
+        :exc:`FileNotFoundError`, bad content :exc:`TraceError`."""
+        with open(path, "rb") as fh:
+            data = fh.read()
         if path.endswith(".gz"):
-            with gzip.open(path, "rb") as fh:
-                data = fh.read()
-        else:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        return cls.loads(data.decode())
+            try:
+                data = gzip.decompress(data)
+            except (OSError, EOFError, zlib.error) as exc:
+                raise TraceError(f"not a readable gzip file: {exc}") from exc
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"trace is not UTF-8 text: {exc}") from exc
+        return cls.loads(text)
 
     # -- reporting -------------------------------------------------------- #
 

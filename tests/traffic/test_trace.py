@@ -47,8 +47,10 @@ def test_round_trip_gzip_and_bit_stability(tmp_path):
 def test_sha256_stable_and_content_sensitive():
     t = small_trace()
     assert t.sha256() == small_trace().sha256()
-    other = small_trace()
-    other.records[0] = (101, 64, 1)
+    base = small_trace()
+    other = Trace(phases=base.phases,
+                  records=[(101, 64, 1)] + list(base.records[1:]),
+                  meta=base.meta)
     assert other.sha256() != t.sha256()
 
 
@@ -86,6 +88,17 @@ def test_validate_rejects_negative_fields():
         Trace(records=[(-1, 64, 0)]).validate()
     with pytest.raises(TraceError, match="negative flow"):
         Trace(records=[(1, 64, -2)]).validate()
+
+
+def test_validate_rejects_fields_past_int64():
+    with pytest.raises(TraceError, match="arrival time .* exceeds"):
+        Trace(records=[(2**63, 64, 0)]).validate()
+    with pytest.raises(TraceError, match="flow id .* exceeds"):
+        Trace(records=[(1, 64, 2**63)]).validate()
+    with pytest.raises(TraceError, match="end .* exceeds"):
+        Trace(phases=[Phase("p", 0, 2**63)]).validate()
+    Trace(phases=[Phase("p", 0, 2**63 - 1)],
+          records=[(2**63 - 1, 64, 2**63 - 1)]).validate()
 
 
 def test_validate_rejects_bad_phases():
