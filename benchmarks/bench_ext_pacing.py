@@ -1,29 +1,22 @@
 """Extension (§2): sleep-based traffic shaping — the precision of
-hr_sleep() projected onto a Carousel-style pacer."""
+hr_sleep() projected onto a Carousel-style pacer.
+
+Thin wrapper over the campaign registry: the sweep grid and rendering
+live in ``repro.campaign.registry``, shared with ``repro campaign run``.
+"""
 
 from bench_util import emit
 
-from repro.harness.extensions import pacing_comparison
-from repro.harness.report import render_table
+from repro.campaign import render_figure, run_figure
 
 
 def _run():
-    return pacing_comparison(count=300)
+    return run_figure("pacing")
 
 
 def test_ext_pacing(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit(
-        "ext_pacing",
-        render_table(
-            "Extension — sleep-based pacing",
-            ["service", "target kpps", "rate error", "jitter us",
-             "gap compliance"],
-            rows,
-            note="compliance = fraction of inter-departure gaps within "
-                 "±50% of the ideal interval (bursting scores low)",
-        ),
-    )
+    emit("pacing", render_figure("pacing", rows))
     by = {(s, k): (err, jit, comp) for s, k, err, jit, comp in rows}
     # both services hit the mean rate (absolute deadlines guarantee it)
     for service in ("hr_sleep", "nanosleep"):

@@ -1,31 +1,22 @@
 """Figure 10: latency boxplots for hr_sleep vs nanosleep at several
-throughputs and two timeout grains (1 us and 10 us)."""
+throughputs and two timeout grains (1 us and 10 us).
+
+Thin wrapper over the campaign registry: the sweep grid and rendering
+live in ``repro.campaign.registry``, shared with ``repro campaign run``.
+"""
 
 from bench_util import emit
 
-from repro.harness.report import render_table
-from repro.harness.scenarios import fig10_latency_boxplots
+from repro.campaign import render_figure, run_figure
 
 
 def _run():
-    return fig10_latency_boxplots(duration_ms=80)
+    return run_figure("fig10")
 
 
 def test_fig10_latency_boxplots(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    table_rows = [
-        (svc, gbps, vbar, b["median"], b["q1"], b["q3"], b["whisk_hi"])
-        for svc, gbps, vbar, b in rows
-    ]
-    emit(
-        "fig10",
-        render_table(
-            "Figure 10 — latency boxplots (us): hr_sleep vs nanosleep",
-            ["service", "gbps", "V̄ us", "median", "q1", "q3", "whisker hi"],
-            table_rows,
-            note="nanosleep runs use the 4096 ring as in the paper's footnote",
-        ),
-    )
+    emit("fig10", render_figure("fig10", rows))
     by = {(svc, gbps, vbar): b for svc, gbps, vbar, b in rows}
     for gbps in (1.0, 5.0, 10.0):
         # at the 1us grain nanosleep's ~58us overhead dominates plainly

@@ -1,27 +1,23 @@
 """Figure 15: CPU usage of the IPsec security gateway and FloWatcher
-under Metronome vs static DPDK across offered rates."""
+under Metronome vs static DPDK across offered rates.
+
+Thin wrapper over the campaign registry: the sweep grid and rendering
+live in ``repro.campaign.registry``, shared with ``repro campaign run``.
+"""
 
 from bench_util import emit
 
+from repro.campaign import render_figure, run_figure
 from repro.harness import paper_data
-from repro.harness.report import render_table
-from repro.harness.scenarios import fig15_apps
 
 
 def _run():
-    return fig15_apps(duration_ms=80)
+    return run_figure("fig15")
 
 
 def test_fig15_apps(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit(
-        "fig15",
-        render_table(
-            "Figure 15 — IPsec gateway and FloWatcher CPU usage",
-            ["app", "system", "rate Mpps", "cpu", "throughput Mpps"],
-            rows,
-        ),
-    )
+    emit("fig15", render_figure("fig15", rows))
     by = {(a, s, r): (cpu, thr) for a, s, r, cpu, thr in rows}
     # IPsec: Metronome matches the static gateway's max throughput
     met_max = by[("ipsec", "metronome", 5.61)][1]

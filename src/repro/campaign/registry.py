@@ -1,15 +1,18 @@
 """The shipped figure registrations.
 
-Each entry mirrors the corresponding ``benchmarks/bench_*.py`` exactly
-— same scenario parameters, same table title/headers/note, same paper
-columns — so ``repro campaign run`` regenerates artifacts that are
-byte-identical to what the serial benchmark scripts archive.  The
-benchmark scripts themselves are thin wrappers over this registry (see
-``repro.campaign.run_figure``), which keeps the two from diverging.
+Each entry is the one definition of its table — scenario parameters,
+title/headers/note and paper columns.  ``repro run <name>``,
+``repro campaign run`` and the ``benchmarks/bench_*.py`` scripts all
+go through :func:`repro.campaign.run_figure` /
+:func:`~repro.campaign.render_figure`, so the three print the same
+bytes.
 
-Only loop-decomposable scenarios with JSON-friendly row records are
-registered; scenarios returning rich dataclass series (fig2, fig5,
-fig11, fig14, fig15) still run through ``repro run`` / their benches.
+Only scenarios whose grid shards into JSON-friendly row records are
+registered.  fig2, fig5, fig11, fig14 and the rotation, bidirectional
+and SMT extensions return dataclass series or summaries (time series,
+PDFs, per-thread shares) that do not survive the JSON boundary every
+task record crosses; they keep hand-written renderers in
+:mod:`repro.cli` and their benches.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ def _fig9_rows(record: List) -> List:
     return [
         (rate, m, b["median"], b["q1"], b["q3"], b["p99"], b["std"])
         for rate, m, b in record
+    ]
+
+
+def _fig10_rows(record: List) -> List:
+    return [
+        (svc, gbps, vbar, b["median"], b["q1"], b["q3"], b["whisk_hi"])
+        for svc, gbps, vbar, b in record
     ]
 
 
@@ -136,6 +146,18 @@ def _figures() -> Dict[str, FigureSpec]:
             row_fn=_fig9_rows,
         ),
         FigureSpec(
+            name="fig10",
+            scenario="fig10_latency_boxplots",
+            title="Figure 10 — latency boxplots (us): hr_sleep vs nanosleep",
+            headers=("service", "gbps", "V̄ us", "median", "q1", "q3",
+                     "whisker hi"),
+            axes=("services", "rates_gbps", "vbars_us"),
+            grid=(("hr_sleep", "nanosleep"), (1.0, 5.0, 10.0), (1, 10)),
+            duration_base=80,
+            row_fn=_fig10_rows,
+            note="nanosleep runs use the 4096 ring as in the paper's footnote",
+        ),
+        FigureSpec(
             name="fig12",
             scenario="fig12_compare",
             title="Figure 12 — L3 forwarder: Metronome vs DPDK vs XDP",
@@ -207,6 +229,29 @@ def _figures() -> Dict[str, FigureSpec]:
             axes=("governors", "rates_gbps"),
             grid=(("performance", "ondemand"), (0.0, 0.5, 1.0, 5.0, 10.0)),
             duration_base=100,
+        ),
+        FigureSpec(
+            name="fig15",
+            scenario="fig15_apps",
+            title="Figure 15 — IPsec gateway and FloWatcher CPU usage",
+            headers=("app", "system", "rate Mpps", "cpu", "throughput Mpps"),
+            axes=("apps",),
+            grid=(("ipsec", "flowatcher"),),
+            duration_base=80,
+        ),
+        FigureSpec(
+            name="pacing",
+            scenario="pacing_comparison",
+            title="Extension — sleep-based pacing",
+            headers=("service", "target kpps", "rate error", "jitter us",
+                     "gap compliance"),
+            axes=("services", "rates_kpps"),
+            grid=(("hr_sleep", "nanosleep"), (1, 10, 50, 100)),
+            duration_param="count",
+            duration_base=300,
+            duration_floor=50,
+            note="compliance = fraction of inter-departure gaps within "
+                 "±50% of the ideal interval (bursting scores low)",
         ),
     ]
     return {f.name: f for f in figures}

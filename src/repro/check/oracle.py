@@ -41,7 +41,7 @@ fan out across workers.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import config
 from repro.core import model
@@ -109,13 +109,22 @@ class TolerancePolicy:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "TolerancePolicy":
+    def from_dict(cls, data: Any) -> "TolerancePolicy":
+        """Override the defaults from parsed JSON.  A non-object, an
+        unknown key or a non-numeric value raises :exc:`ValueError`."""
+        if not isinstance(data, dict):
+            raise ValueError("tolerance policy must be a JSON object, "
+                             f"not {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(
                 f"unknown tolerance key(s) {unknown}; known: {sorted(known)}"
             )
+        bad = sorted(k for k, v in data.items()
+                     if isinstance(v, bool) or not isinstance(v, (int, float)))
+        if bad:
+            raise ValueError(f"tolerance value(s) {bad} must be numbers")
         return replace(cls(), **data)
 
 

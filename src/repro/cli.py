@@ -8,66 +8,35 @@
     python -m repro quickstart
     python -m repro trace quickstart --out trace.json
 
-Each experiment prints the same table its benchmark archives; ``--fast``
-cuts durations ~4x for a quick look.  ``trace`` re-runs a system with
-nanosecond event tracing on, exports a Chrome trace-event JSON (load it
-in Perfetto / chrome://tracing) and prints the wake-latency anatomy.
+``repro run <name>`` for a figure registered in
+:data:`repro.campaign.FIGURES` (the paper tables and figures, the trace
+replay and scale-out sweeps, the pacing extension) prints exactly the
+table that ``repro campaign run`` and its benchmark archive as
+``<name>.txt``; the few figures whose scenarios return dataclass series
+keep their own renderers here.  ``--fast`` cuts durations ~4x for a
+quick look.  ``trace`` re-runs a system with nanosecond event tracing
+on, exports a Chrome trace-event JSON (load it in Perfetto /
+chrome://tracing) and prints the wake-latency anatomy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Callable, Dict, List
 
-from repro import config
+from repro import campaign, config
 from repro.harness import extensions, scenarios
 from repro.harness.report import render_table
 from repro.harness.scaling import FAST_SCALE, scaled
 
 
-def _table1(duration_scale: float, seed: int) -> str:
-    from repro.harness.paper_data import TABLE1
-
-    rows = scenarios.table1_sleep_precision(
-        samples=scaled(10_000, duration_scale, 500), seed=seed)
-    table = [
-        (s, t, m, TABLE1[(s, t)][0], p, TABLE1[(s, t)][1])
-        for s, t, m, p in rows
-    ]
-    return render_table(
-        "Table 1 — sleep precision (us)",
-        ["service", "target", "mean", "paper", "99p", "paper"],
-        table,
-    )
-
-
-def _table2(duration_scale: float, seed: int) -> str:
-    from repro.harness.paper_data import TABLE2
-
-    rows = scenarios.table2_vbar_sweep(
-        duration_ms=scaled(100, duration_scale, 20), seed=seed)
-    table = [
-        (v, mv, TABLE2[v][0], b, TABLE2[v][1], nv, TABLE2[v][2], loss)
-        for v, mv, b, nv, loss in rows
-    ]
-    return render_table(
-        "Table 2 — V̄ sweep at line rate",
-        ["target V", "V us", "paper", "B us", "paper", "N_V", "paper",
-         "loss permille"],
-        table,
-    )
-
-
-def _table3(duration_scale: float, seed: int) -> str:
-    rows = scenarios.table3_nanosleep_loss(
-        duration_ms=scaled(100, duration_scale, 20), seed=seed)
-    return render_table(
-        "Table 3 — nanosleep loss at 10 Gbps (%)",
-        ["ring", "V̄ us", "nanosleep %", "hr_sleep %"],
-        rows,
-    )
+def _registered(name: str, duration_scale: float, seed: int) -> str:
+    """A registered figure: the campaign registry's one table."""
+    return campaign.render_figure(
+        name, campaign.run_figure(name, duration_scale, seed))
 
 
 def _fig2(duration_scale: float, seed: int) -> str:
@@ -93,50 +62,6 @@ def _fig5(duration_scale: float, seed: int) -> str:
         "Figure 5 — vacation PDF: simulation vs eq. (9)",
         ["M", "V us", "empirical", "model"],
         rows,
-    )
-
-
-def _fig6(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig6_latency_cpu(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 6 — latency & CPU vs V̄",
-        ["gbps", "V̄ us", "mean lat us", "p99 us", "cpu"],
-        rows,
-    )
-
-
-def _fig7(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig7_tl_sweep(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table("Figure 7 — T_L sweep",
-                        ["T_L us", "busy tries", "cpu"], rows)
-
-
-def _fig8(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig8_m_sweep(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table("Figure 8 — M sweep",
-                        ["M", "busy tries", "cpu"], rows)
-
-
-def _fig9(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig9_latency_vs_m(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 9 — latency vs M",
-        ["rate Mpps", "M", "median us", "p99 us", "std us"],
-        [(r, m, b["median"], b["p99"], b["std"]) for r, m, b in rows],
-    )
-
-
-def _fig10(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig10_latency_boxplots(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 10 — latency: hr_sleep vs nanosleep",
-        ["service", "gbps", "V̄ us", "median us", "q3 us"],
-        [(s, g, v, b["median"], b["q3"]) for s, g, v, b in rows],
     )
 
 
@@ -170,26 +95,6 @@ def _fig11(duration_scale: float, seed: int) -> str:
     return table + "\n\ntrajectories:\n" + extras
 
 
-def _fig12(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig12_compare(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 12 — Metronome vs DPDK vs XDP",
-        ["system", "gbps", "mean lat us", "p99 us", "cpu", "loss %"],
-        rows,
-    )
-
-
-def _fig13(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig13_power_governors(
-        duration_ms=scaled(80, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 13 — power vs rate per governor",
-        ["governor", "system", "gbps", "watts", "cpu"],
-        rows,
-    )
-
-
 def _fig14(duration_scale: float, seed: int) -> str:
     r = scenarios.ferret_coexistence(
         ferret_work_ms=scaled(150, duration_scale, 40),
@@ -207,16 +112,6 @@ def _fig14(duration_scale: float, seed: int) -> str:
             ("DPDK shared Mpps", r.dpdk_shared_mpps),
             ("Metronome shared Mpps", r.metronome_shared_mpps),
         ],
-    )
-
-
-def _fig15(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig15_apps(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 15 — IPsec & FloWatcher CPU",
-        ["app", "system", "rate Mpps", "cpu", "throughput"],
-        rows,
     )
 
 
@@ -252,16 +147,6 @@ def _smt(duration_scale: float, seed: int) -> str:
     )
 
 
-def _pacing(duration_scale: float, seed: int) -> str:
-    rows = extensions.pacing_comparison(
-        count=scaled(300, duration_scale, 50), seed=seed)
-    return render_table(
-        "Extension — sleep-based pacing",
-        ["service", "kpps", "rate error", "jitter us"],
-        rows,
-    )
-
-
 def _quickstart(duration_scale: float, seed: int) -> str:
     from repro.harness.experiment import run_metronome
 
@@ -285,10 +170,23 @@ def _quickstart(duration_scale: float, seed: int) -> str:
     )
 
 
-def _chaos_cmd(args) -> int:
-    """``repro chaos``: fault plans × seeds, invariant verdicts."""
+def _load_json_file(path: str, parse: Callable):
+    """``parse(json.load(path))``, or None after one line on stdout when
+    the file cannot be read or is malformed (the caller exits 2)."""
     import json
 
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except OSError as exc:
+        print(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # JSON, UTF-8 and schema errors alike
+        print(f"INVALID: {path}: {exc}")
+    return None
+
+
+def _chaos_cmd(args) -> int:
+    """``repro chaos``: fault plans × seeds, invariant verdicts."""
     from repro.faults import SHIPPED_PLANS, FaultPlan, run_chaos
 
     if args.list:
@@ -297,8 +195,10 @@ def _chaos_cmd(args) -> int:
             print(f"  {name:15s} {plan.description}")
         return 0
     if args.plan_file:
-        with open(args.plan_file) as fh:
-            plans = [FaultPlan.from_dict(json.load(fh))]
+        plan = _load_json_file(args.plan_file, FaultPlan.from_dict)
+        if plan is None:
+            return 2
+        plans = [plan]
     elif args.plan == "all":
         plans = list(SHIPPED_PLANS.values())
     else:
@@ -401,11 +301,14 @@ def _chaos_checkpoint_cmd(args, plans, seeds) -> int:
 
 def _check_cmd(args) -> int:
     """``repro check``: invariant monitors + model-vs-sim oracle."""
-    import json
-
     from repro.check.oracle import TolerancePolicy, run_oracle
     from repro.check.runner import run_monitors
 
+    policy = None
+    if args.policy:
+        policy = _load_json_file(args.policy, TolerancePolicy.from_dict)
+        if policy is None:
+            return 2
     do_monitors = args.all or args.monitors or not args.oracle
     do_oracle = args.all or args.oracle or not args.monitors
     failed = False
@@ -414,16 +317,10 @@ def _check_cmd(args) -> int:
         print(rep.render())
         failed |= not rep.ok
     if do_oracle:
-        policy = None
-        if args.policy:
-            with open(args.policy) as fh:
-                policy = TolerancePolicy.from_dict(json.load(fh))
         cache = None
         if args.cache:
-            from repro import campaign as camp
-
-            results_dir = camp.default_results_dir()
-            cache = camp.ResultCache(camp.default_cache_dir(results_dir))
+            results_dir = campaign.default_results_dir()
+            cache = campaign.ResultCache(campaign.default_cache_dir(results_dir))
         orep = run_oracle(
             policy=policy,
             duration_ms=12 if args.fast else 40,
@@ -506,7 +403,7 @@ def _parse_shard(text: str):
     return shard
 
 
-def _emit_campaign_artifacts(camp, res, results_dir: str) -> None:
+def _emit_campaign_artifacts(res, results_dir: str) -> None:
     """Render and atomically write every complete figure's artifacts,
     print failures for incomplete ones, and write the campaign summary.
     Shared by ``campaign run`` and ``campaign merge`` so a merged
@@ -519,11 +416,11 @@ def _emit_campaign_artifacts(camp, res, results_dir: str) -> None:
             print(f"\n{name}: FAILED — "
                   + "; ".join(f"{o.spec.label()}: {o.error}" for o in bad))
             continue
-        fig = camp.get_figure(name)
+        fig = campaign.get_figure(name)
         text = fig.render(record)
-        camp.write_figure_artifacts(
+        campaign.write_figure_artifacts(
             results_dir, name, text,
-            camp.figure_payload(
+            campaign.figure_payload(
                 name, fig.scenario, record,
                 seed=res.seed, scale=res.scale, tasks=len(outs),
                 from_cache=sum(1 for o in outs if o.from_cache),
@@ -531,28 +428,26 @@ def _emit_campaign_artifacts(camp, res, results_dir: str) -> None:
             ),
         )
         print("\n" + text)
-    camp.write_campaign_summary(results_dir, res.summary())
+    campaign.write_campaign_summary(results_dir, res.summary())
 
 
 def _campaign_cmd(args) -> int:
     """``repro campaign``: sharded, cached sweeps (docs/CAMPAIGN.md)."""
-    from repro import campaign as camp
-
     if args.campaign_cmd == "list":
         print("registered campaign figures:")
         total = 0
-        for name, fig in camp.FIGURES.items():
+        for name, fig in campaign.FIGURES.items():
             n = fig.task_count()
             total += n
             print(f"  {name:8s} {n:3d} tasks  {fig.scenario}")
         print(f"total: {total} tasks")
         return 0
 
-    results_dir = args.results_dir or camp.default_results_dir()
+    results_dir = args.results_dir or campaign.default_results_dir()
 
     if args.campaign_cmd == "status":
-        stats = camp.ResultCache(camp.default_cache_dir(results_dir)).stats()
-        summary = camp.read_campaign_summary(results_dir)
+        stats = campaign.ResultCache(campaign.default_cache_dir(results_dir)).stats()
+        summary = campaign.read_campaign_summary(results_dir)
         if summary is None:
             print(f"no campaign summary under {results_dir}")
         else:
@@ -579,19 +474,19 @@ def _campaign_cmd(args) -> int:
     figures = None
     if args.figures:
         figures = [f.strip() for f in args.figures.split(",") if f.strip()]
-        unknown = [f for f in figures if f not in camp.FIGURES]
+        unknown = [f for f in figures if f not in campaign.FIGURES]
         if unknown:
             print(f"unknown figure(s) {', '.join(unknown)}; "
                   "try `repro campaign list`")
             return 2
     cache = None
     if not args.no_cache:
-        cache = camp.ResultCache(camp.default_cache_dir(results_dir))
-    journal_dir = os.path.join(results_dir, camp.JOURNAL_SUBDIR)
+        cache = campaign.ResultCache(campaign.default_cache_dir(results_dir))
+    journal_dir = os.path.join(results_dir, campaign.JOURNAL_SUBDIR)
 
     if args.campaign_cmd == "merge":
         try:
-            res = camp.merge_shards(
+            res = campaign.merge_shards(
                 figures,
                 shards=args.shards,
                 scale=FAST_SCALE if args.fast else 1.0,
@@ -599,10 +494,10 @@ def _campaign_cmd(args) -> int:
                 journal_dir=journal_dir,
                 cache=cache,
             )
-        except camp.JournalError as exc:
+        except campaign.JournalError as exc:
             print(f"merge refused: {exc}")
             return 2
-        _emit_campaign_artifacts(camp, res, results_dir)
+        _emit_campaign_artifacts(res, results_dir)
         missing = [o for o in res.failures
                    if o.error and o.error.startswith("missing")]
         report = res.quarantine_report()
@@ -627,7 +522,7 @@ def _campaign_cmd(args) -> int:
         print("--resume needs the journal; drop --no-journal")
         return 2
     try:
-        res = camp.run_campaign(
+        res = campaign.run_campaign(
             figures,
             workers=args.workers,
             scale=FAST_SCALE if args.fast else 1.0,
@@ -642,11 +537,11 @@ def _campaign_cmd(args) -> int:
             resume=args.resume,
             backoff_base_s=args.backoff_s,
         )
-    except camp.JournalError as exc:
+    except campaign.JournalError as exc:
         print(f"resume refused: {exc}")
         return 2
     if shard == (1, 1):
-        _emit_campaign_artifacts(camp, res, results_dir)
+        _emit_campaign_artifacts(res, results_dir)
     else:
         # a shard holds an incomplete grid; figure artifacts would look
         # whole but lie — emission waits for `repro campaign merge`
@@ -705,25 +600,16 @@ def _trace_cmd(args) -> int:
     return 1 if problems else 0
 
 
+#: every ``repro run`` target: the registered figures render through
+#: the campaign registry, the rest through the renderers above
 EXPERIMENTS: Dict[str, Callable[[float, int], str]] = {
-    "table1": _table1,
-    "table2": _table2,
-    "table3": _table3,
+    **{name: functools.partial(_registered, name) for name in campaign.FIGURES},
     "fig2": _fig2,
     "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
     "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
     "fig14": _fig14,
-    "fig15": _fig15,
     "rotation": _rotation,
     "bidir": _bidir,
-    "pacing": _pacing,
     "smt": _smt,
 }
 

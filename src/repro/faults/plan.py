@@ -38,8 +38,9 @@ clock_drift    the sleep timebase runs slow: every sleep overshoots by
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, Tuple
+import math
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Dict, Tuple
 
 from repro.sim.units import MS, US
 
@@ -75,14 +76,20 @@ class FaultSpec:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        # times feed the integer-ns event clock: a float (2e7) would
+        # only fail once the run schedules it
+        for name in ("start_ns", "end_ns", "period_ns", "duration_ns"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.start_ns < 0 or self.end_ns <= self.start_ns:
             raise ValueError("need 0 <= start_ns < end_ns")
         if self.period_ns < 0 or self.duration_ns < 0:
             raise ValueError("period/duration must be >= 0")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be >= 0")
+        if not math.isfinite(self.magnitude) or self.magnitude < 0:
+            raise ValueError("magnitude must be finite and >= 0")
         if self.kind == "irq_storm" and not 0.0 < self.magnitude < 1.0:
             if self.duration_ns == 0:
                 raise ValueError(
@@ -95,6 +102,8 @@ class FaultSpec:
             raise ValueError("irq_storm needs period_ns")
         # frozen dataclass: normalize cores through object.__setattr__
         object.__setattr__(self, "cores", tuple(self.cores))
+        if not all(isinstance(c, int) and c >= 0 for c in self.cores):
+            raise ValueError("cores must be non-negative core indices")
 
 
 @dataclass(frozen=True)
@@ -152,10 +161,32 @@ class FaultPlan:
         return d
 
     @classmethod
-    def from_dict(cls, d: Dict) -> "FaultPlan":
-        specs = tuple(FaultSpec(**s) for s in d.get("specs", ()))
-        fields = {k: v for k, v in d.items() if k != "specs"}
-        return cls(specs=specs, **fields)
+    def from_dict(cls, d: Any) -> "FaultPlan":
+        """Build a plan from parsed JSON.  A non-object, an unknown key,
+        ``specs`` that is not a list of objects, a missing required key
+        or a mistyped value raises :exc:`ValueError`."""
+        _check_object(d, cls, "fault plan")
+        raw = d.get("specs", [])
+        if not isinstance(raw, list):
+            raise ValueError("fault plan 'specs' must be a list of objects")
+        for s in raw:
+            _check_object(s, FaultSpec, "fault spec")
+        try:
+            return cls(specs=tuple(FaultSpec(**s) for s in raw),
+                       **{k: v for k, v in d.items() if k != "specs"})
+        except TypeError as exc:  # a missing key or a mistyped value
+            raise ValueError(f"malformed fault plan: {exc}") from None
+
+
+def _check_object(d: Any, cls: type, what: str) -> None:
+    """Refuse a parsed JSON value that is not an object of ``cls``'s
+    fields."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"not {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}")
 
 
 # --------------------------------------------------------------------- #

@@ -404,6 +404,7 @@ def pacing_comparison(
     rates_kpps: Sequence[int] = (1, 10, 50, 100),
     count: int = 400,
     seed: int = config.DEFAULT_SEED,
+    services: Sequence[str] = ("hr_sleep", "nanosleep"),
 ) -> List[Tuple[str, int, float, float, float]]:
     """Rows: (service, kpps, rate error, jitter us, gap compliance).
 
@@ -414,7 +415,7 @@ def pacing_comparison(
     from repro.apps.pacer import SleepPacer
 
     rows = []
-    for service in ("hr_sleep", "nanosleep"):
+    for service in services:
         for kpps in rates_kpps:
             cfg = config.SimConfig(seed=seed, num_cores=2, os_noise=False)
             machine = Machine(cfg)

@@ -369,6 +369,7 @@ def fig10_latency_boxplots(
     vbars_us: Sequence[int] = (1, 10),
     duration_ms: int = 60,
     seed: int = config.DEFAULT_SEED,
+    services: Sequence[str] = ("hr_sleep", "nanosleep"),
 ) -> List[Tuple[str, float, int, dict]]:
     """Rows: (service, gbps, vbar_us, latency boxplot us).
 
@@ -376,7 +377,7 @@ def fig10_latency_boxplots(
     so loss does not contaminate the latency comparison.
     """
     rows = []
-    for service in ("hr_sleep", "nanosleep"):
+    for service in services:
         ring = 4096 if service == "nanosleep" else config.DEFAULT_RX_RING
         for gbps in rates_gbps:
             for vbar in vbars_us:
@@ -643,39 +644,30 @@ def ferret_coexistence(
 def fig15_apps(
     duration_ms: int = 60,
     seed: int = config.DEFAULT_SEED,
+    apps: Sequence[str] = ("ipsec", "flowatcher"),
 ) -> List[Tuple[str, str, float, float, float]]:
     """Rows: (app, system, rate Mpps, cpu, throughput Mpps)."""
     from repro.apps.flowatcher import FloWatcherApp
     from repro.apps.ipsec import IpsecGatewayApp
 
-    rows = []
-    ipsec_rates = (1.4, 2.8, 5.61)
-    for rate in ipsec_rates:
-        pps = int(rate * 1e6)
+    def ipsec():
         app = IpsecGatewayApp()
         app.protect_everything()
-        met = run_metronome(pps, duration_ms=duration_ms, app=app,
-                            cfg=config.SimConfig(seed=seed))
-        rows.append(("ipsec", "metronome", rate, met.cpu_utilization,
-                     met.throughput_mpps))
-        app = IpsecGatewayApp()
-        app.protect_everything()
-        dpdk = run_dpdk(pps, duration_ms=duration_ms, app=app,
-                        cfg=config.SimConfig(seed=seed))
-        rows.append(("ipsec", "dpdk", rate, dpdk.cpu_utilization,
-                     dpdk.throughput_mpps))
+        return app
 
-    flow_rates = (0.5, 5.0, 14.88)
-    for rate in flow_rates:
-        pps = int(rate * 1e6)
-        met = run_metronome(pps, duration_ms=duration_ms, app=FloWatcherApp(),
-                            cfg=config.SimConfig(seed=seed))
-        rows.append(("flowatcher", "metronome", rate, met.cpu_utilization,
-                     met.throughput_mpps))
-        dpdk = run_dpdk(pps, duration_ms=duration_ms, app=FloWatcherApp(),
-                        cfg=config.SimConfig(seed=seed))
-        rows.append(("flowatcher", "dpdk", rate, dpdk.cpu_utilization,
-                     dpdk.throughput_mpps))
+    # each app's offered rates: up to the gateway's ceiling / line rate
+    catalogue = {"ipsec": (ipsec, (1.4, 2.8, 5.61)),
+                 "flowatcher": (FloWatcherApp, (0.5, 5.0, 14.88))}
+    rows = []
+    for name in apps:
+        make_app, rates = catalogue[name]
+        for rate in rates:
+            for system, run in (("metronome", run_metronome),
+                                ("dpdk", run_dpdk)):
+                res = run(int(rate * 1e6), duration_ms=duration_ms,
+                          app=make_app(), cfg=config.SimConfig(seed=seed))
+                rows.append((name, system, rate, res.cpu_utilization,
+                             res.throughput_mpps))
     return rows
 
 
@@ -991,6 +983,7 @@ def trace_adversary(
 # ---------------------------------------------------------------------- #
 
 from repro.check.oracle import check_oracle_point  # noqa: E402
+from repro.harness.extensions import pacing_comparison  # noqa: E402
 from repro.harness.scale import (  # noqa: E402
     scale_queue_count,
     scale_thread_ratio,
@@ -1017,6 +1010,7 @@ SCENARIOS: Dict[str, Callable] = {
         fig13_power_governors,
         ferret_coexistence,
         fig15_apps,
+        pacing_comparison,
         tuned_low_latency,
         chaos_suite,
         trace_phase_tracking,

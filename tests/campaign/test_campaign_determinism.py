@@ -10,8 +10,11 @@ import multiprocessing
 
 import pytest
 
-from repro.campaign import FIGURES, run_campaign
+from repro.campaign import FIGURES, json_normalize, run_campaign, run_figure
 from repro.campaign.executor import execute_task, run_tasks
+from repro.harness.extensions import pacing_comparison
+from repro.harness.scaling import FAST_SCALE
+from repro.harness.scenarios import fig10_latency_boxplots
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -42,3 +45,13 @@ def test_four_workers_byte_identical_to_serial():
 def test_repeat_serial_runs_identical():
     spec = FIGURES["fig8"].tasks(scale=0.25)[0]
     assert execute_task(spec) == execute_task(spec)
+
+
+@pytest.mark.parametrize("name, serial", [
+    ("pacing", lambda: pacing_comparison(count=75)),
+    ("fig10", lambda: fig10_latency_boxplots(duration_ms=20)),
+])
+def test_one_serial_call_equals_the_sharded_figure(name, serial):
+    # the registry shards the scenario's own loops: concatenating the
+    # one-point tasks must give the unsharded call's records, in order
+    assert json_normalize(serial()) == run_figure(name, FAST_SCALE)

@@ -49,7 +49,8 @@ def test_audit_covers_the_whole_registry():
     # the audit's parametrization is known to track the registry
     assert set(FIGURES) == {
         "table1", "table2", "table3",
-        "fig6", "fig7", "fig8", "fig9", "fig12", "fig13",
+        "fig6", "fig7", "fig8", "fig9", "fig10", "fig12", "fig13",
+        "fig15", "pacing",
         "trace_phases", "trace_adversary",
         "scale_queue_count", "scale_thread_ratio",
     }

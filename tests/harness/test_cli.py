@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.campaign import FIGURES, render_figure, run_figure
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.harness.scaling import FAST_SCALE
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("table1", "fig12", "pacing"):
-        assert name in out
+    listed = capsys.readouterr().out.split()
+    parser = build_parser()
+    # every registered figure is listed and is a `repro run` choice
+    for name in ("table1", "fig12", "pacing", *FIGURES):
+        assert name in listed
+        assert parser.parse_args(["run", name]).experiment == name
 
 
 def test_experiment_registry_covers_paper():
@@ -37,6 +42,8 @@ def test_run_small_experiment(capsys):
     out = capsys.readouterr().out
     assert "Figure 7" in out
     assert "busy tries" in out
+    # the registry's table, byte for byte: what the campaign archives
+    assert out == render_figure("fig7", run_figure("fig7", FAST_SCALE, 3)) + "\n"
 
 
 def test_parser_defaults():
